@@ -41,9 +41,14 @@ pub struct ThroughputRule {
     pub safety: f64,
 }
 
+impl ThroughputRule {
+    /// The default parameters, usable in `const`/`static` items.
+    pub const DEFAULT: ThroughputRule = ThroughputRule { safety: 0.8 };
+}
+
 impl Default for ThroughputRule {
     fn default() -> Self {
-        ThroughputRule { safety: 0.8 }
+        ThroughputRule::DEFAULT
     }
 }
 
@@ -72,9 +77,14 @@ pub struct Bba {
     pub cushion: Seconds,
 }
 
+impl Bba {
+    /// The default parameters, usable in `const`/`static` items.
+    pub const DEFAULT: Bba = Bba { reservoir: Seconds(10.0), cushion: Seconds(40.0) };
+}
+
 impl Default for Bba {
     fn default() -> Self {
-        Bba { reservoir: Seconds(10.0), cushion: Seconds(40.0) }
+        Bba::DEFAULT
     }
 }
 
@@ -105,9 +115,14 @@ pub struct Bola {
     pub buffer_target: Seconds,
 }
 
+impl Bola {
+    /// The default parameters, usable in `const`/`static` items.
+    pub const DEFAULT: Bola = Bola { buffer_target: Seconds(25.0) };
+}
+
 impl Default for Bola {
     fn default() -> Self {
-        Bola { buffer_target: Seconds(25.0) }
+        Bola::DEFAULT
     }
 }
 

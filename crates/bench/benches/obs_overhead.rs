@@ -7,7 +7,7 @@
 //! CHANGES.md and the README "Observability" section.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use vmp_obs::MetricsRegistry;
+use vmp_obs::{LocalHistogram, MetricsRegistry};
 
 fn bench_counters(c: &mut Criterion) {
     let mut group = c.benchmark_group("obs/counter");
@@ -37,6 +37,17 @@ fn bench_histograms(c: &mut Criterion) {
         b.iter(|| {
             v = v.wrapping_add(977) % 1_000_000;
             black_box(&hist).record(black_box(v));
+        })
+    });
+
+    // The per-session tally the player keeps: plain integers, flushed
+    // into the shared histogram once per session with `merge`.
+    let mut local = LocalHistogram::new();
+    group.bench_function("record_local", |b| {
+        let mut v = 0u64;
+        b.iter(|| {
+            v = v.wrapping_add(977) % 1_000_000;
+            black_box(&mut local).record(black_box(v));
         })
     });
 

@@ -11,6 +11,8 @@
 //!
 //! - [`MetricsRegistry`]: named atomic [`Counter`]s, [`Gauge`]s, and
 //!   fixed-bucket [`Histogram`]s with p50/p90/p99 estimation;
+//! - [`LocalHistogram`]: an unshared tally with the same buckets, for hot
+//!   loops that flush into a [`Histogram`] once with [`Histogram::merge`];
 //! - [`span`]: RAII stage timers recording latencies into histograms,
 //!   nesting tracked via a thread-local span stack;
 //! - [`EventSink`] + [`RingBufferSink`]: bounded recorder for structured
@@ -20,9 +22,10 @@
 //!   or Prometheus exposition text.
 //!
 //! Handles are cheap clones around `Arc<Atomic*>` and are meant to be
-//! looked up once and cached in hot-path structs. Every handle carries the
-//! registry's shared enabled flag, so a disabled counter increment is one
-//! relaxed load plus a branch (see `crates/bench/benches/obs_overhead.rs`).
+//! looked up once (per process or per thread, not per session) and cached
+//! in hot-path structs. Every handle carries the registry's shared enabled
+//! flag, so a disabled counter increment is one relaxed load plus a branch
+//! (see `crates/bench/benches/obs_overhead.rs`).
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -38,7 +41,7 @@ pub mod trace;
 
 pub use events::{Event, EventKind, EventSink, RingBufferSink};
 pub use export::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, RegistrySnapshot};
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
+pub use metrics::{Counter, Gauge, Histogram, LocalHistogram, MetricsRegistry};
 pub use profile::{
     folded_stacks, parse_folded, profile_entries, profiling_enabled, reset_profile, set_profiling,
     stage_entries, ProfileEntry,

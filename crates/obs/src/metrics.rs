@@ -22,6 +22,30 @@ pub(crate) fn bucket_bound(index: usize) -> u64 {
     [1u64, 2, 5][step] * 10u64.pow(decade as u32)
 }
 
+/// [`bucket_bound`] for every index, computed at compile time so recording
+/// is a binary search over a table instead of a linear scan of `pow` calls.
+const BUCKET_BOUNDS: [u64; HISTOGRAM_BUCKETS] = {
+    let mut bounds = [0u64; HISTOGRAM_BUCKETS];
+    let mut decade = 1u64;
+    let mut i = 0;
+    while i < HISTOGRAM_BUCKETS {
+        bounds[i] = [1u64, 2, 5][i % 3] * decade;
+        if i % 3 == 2 {
+            decade *= 10;
+        }
+        i += 1;
+    }
+    bounds
+};
+
+/// The bucket `value` lands in (the first whose bound is `>= value`), or
+/// `None` for the overflow bucket.
+#[inline]
+fn bucket_index(value: u64) -> Option<usize> {
+    let index = BUCKET_BOUNDS.partition_point(|&bound| bound < value);
+    (index < HISTOGRAM_BUCKETS).then_some(index)
+}
+
 struct HistogramInner {
     counts: [AtomicU64; HISTOGRAM_BUCKETS],
     overflow: AtomicU64,
@@ -39,6 +63,16 @@ impl HistogramInner {
             count: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
+    }
+
+    fn load_snapshot(&self) -> HistogramSnapshot {
+        HistogramSnapshot::from_raw(
+            self.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
+            self.overflow.load(Ordering::Relaxed),
+            self.sum.load(Ordering::Relaxed),
+            self.count.load(Ordering::Relaxed),
+            self.max.load(Ordering::Relaxed),
+        )
     }
 }
 
@@ -135,13 +169,34 @@ impl Histogram {
         if !self.enabled.load(Ordering::Relaxed) {
             return;
         }
-        match (0..HISTOGRAM_BUCKETS).find(|&i| value <= bucket_bound(i)) {
+        match bucket_index(value) {
             Some(i) => self.inner.counts[i].fetch_add(1, Ordering::Relaxed),
             None => self.inner.overflow.fetch_add(1, Ordering::Relaxed),
         };
         self.inner.sum.fetch_add(value, Ordering::Relaxed);
         self.inner.count.fetch_add(1, Ordering::Relaxed);
         self.inner.max.fetch_max(value, Ordering::Relaxed);
+    }
+
+    /// Adds every observation tallied in `local`, as if each had been
+    /// passed to [`Histogram::record`]. Hot loops record into a
+    /// [`LocalHistogram`] and merge once at the end, so the shared atomics
+    /// see one update per bucket used instead of one per observation.
+    pub fn merge(&self, local: &LocalHistogram) {
+        if local.count == 0 || !self.enabled.load(Ordering::Relaxed) {
+            return;
+        }
+        for (slot, &n) in self.inner.counts.iter().zip(&local.counts) {
+            if n != 0 {
+                slot.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        if local.overflow != 0 {
+            self.inner.overflow.fetch_add(local.overflow, Ordering::Relaxed);
+        }
+        self.inner.sum.fetch_add(local.sum, Ordering::Relaxed);
+        self.inner.count.fetch_add(local.count, Ordering::Relaxed);
+        self.inner.max.fetch_max(local.max, Ordering::Relaxed);
     }
 
     /// Records a duration as nanoseconds (the convention spans use).
@@ -167,19 +222,7 @@ impl Histogram {
 
     /// Point-in-time copy of the full distribution.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let counts: Vec<u64> = self
-            .inner
-            .counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect();
-        HistogramSnapshot::from_raw(
-            counts,
-            self.inner.overflow.load(Ordering::Relaxed),
-            self.inner.sum.load(Ordering::Relaxed),
-            self.inner.count.load(Ordering::Relaxed),
-            self.inner.max.load(Ordering::Relaxed),
-        )
+        self.inner.load_snapshot()
     }
 }
 
@@ -192,12 +235,53 @@ impl std::fmt::Debug for Histogram {
     }
 }
 
+/// An unshared tally with the same buckets as [`Histogram`]: plain
+/// integers, no atomics. Record into one per unit of work (a session, a
+/// batch) and flush it with [`Histogram::merge`]. Sum and count wrap on
+/// overflow exactly like the shared histogram's `fetch_add`s do.
+#[derive(Debug)]
+pub struct LocalHistogram {
+    counts: [u64; HISTOGRAM_BUCKETS],
+    overflow: u64,
+    sum: u64,
+    count: u64,
+    max: u64,
+}
+
+impl Default for LocalHistogram {
+    fn default() -> LocalHistogram {
+        LocalHistogram::new()
+    }
+}
+
+impl LocalHistogram {
+    /// An empty tally.
+    pub const fn new() -> LocalHistogram {
+        LocalHistogram { counts: [0; HISTOGRAM_BUCKETS], overflow: 0, sum: 0, count: 0, max: 0 }
+    }
+
+    /// Records one observation.
+    #[inline]
+    pub fn record(&mut self, value: u64) {
+        let slot = match bucket_index(value) {
+            Some(i) => &mut self.counts[i],
+            None => &mut self.overflow,
+        };
+        *slot = slot.wrapping_add(1);
+        self.sum = self.sum.wrapping_add(value);
+        self.count = self.count.wrapping_add(1);
+        self.max = self.max.max(value);
+    }
+}
+
 /// A registry of named metrics plus a bounded event sink.
 ///
 /// Lookup (`counter`/`gauge`/`histogram`) takes a short mutex on the name
 /// table and hands back a clonable handle bound to the underlying atomic;
-/// all recording after that is lock-free. The shared enabled flag turns
-/// every handle into a near-no-op when cleared.
+/// all recording after that is lock-free. Looking up an existing name
+/// allocates nothing, but the mutex is shared by every thread: resolve
+/// handles once, outside per-session and per-chunk loops. The shared
+/// enabled flag turns every handle into a near-no-op when cleared.
 pub struct MetricsRegistry {
     enabled: Arc<AtomicBool>,
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
@@ -251,31 +335,19 @@ impl MetricsRegistry {
 
     /// Handle to the counter `name`, creating it at zero if new.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut table = self.counters.lock();
-        let value = table
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-            .clone();
+        let value = intern(&self.counters, name, || AtomicU64::new(0));
         Counter { value, enabled: self.enabled.clone() }
     }
 
     /// Handle to the gauge `name`, creating it at zero if new.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut table = self.gauges.lock();
-        let value = table
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(AtomicI64::new(0)))
-            .clone();
+        let value = intern(&self.gauges, name, || AtomicI64::new(0));
         Gauge { value, enabled: self.enabled.clone() }
     }
 
     /// Handle to the histogram `name`, creating it empty if new.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut table = self.histograms.lock();
-        let inner = table
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(HistogramInner::new()))
-            .clone();
+        let inner = intern(&self.histograms, name, HistogramInner::new);
         Histogram { inner, enabled: self.enabled.clone() }
     }
 
@@ -320,20 +392,7 @@ impl MetricsRegistry {
             .histograms
             .lock()
             .iter()
-            .map(|(name, inner)| {
-                let counts: Vec<u64> =
-                    inner.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-                (
-                    name.clone(),
-                    HistogramSnapshot::from_raw(
-                        counts,
-                        inner.overflow.load(Ordering::Relaxed),
-                        inner.sum.load(Ordering::Relaxed),
-                        inner.count.load(Ordering::Relaxed),
-                        inner.max.load(Ordering::Relaxed),
-                    ),
-                )
-            })
+            .map(|(name, inner)| (name.clone(), inner.load_snapshot()))
             .collect();
         RegistrySnapshot {
             counters,
@@ -343,6 +402,22 @@ impl MetricsRegistry {
             events_dropped: self.events.dropped(),
         }
     }
+}
+
+/// The entry `name` of `table`, inserting `make()` if absent. A hit
+/// allocates nothing; only a first registration copies the name.
+fn intern<T>(
+    table: &Mutex<BTreeMap<String, Arc<T>>>,
+    name: &str,
+    make: impl FnOnce() -> T,
+) -> Arc<T> {
+    let mut table = table.lock();
+    if let Some(existing) = table.get(name) {
+        return existing.clone();
+    }
+    let created = Arc::new(make());
+    table.insert(name.to_owned(), created.clone());
+    created
 }
 
 #[cfg(test)]
@@ -357,6 +432,90 @@ mod tests {
         assert_eq!(bucket_bound(3), 10);
         assert_eq!(bucket_bound(4), 20);
         assert_eq!(bucket_bound(HISTOGRAM_BUCKETS - 1), 500_000_000_000);
+    }
+
+    #[test]
+    fn const_bounds_table_matches_bucket_bound() {
+        for (i, &bound) in BUCKET_BOUNDS.iter().enumerate() {
+            assert_eq!(bound, bucket_bound(i), "bound {i}");
+        }
+    }
+
+    /// Every bound, every bound + 1, zero, just past the last bound, and
+    /// the largest value: the places a bucket search can be off by one.
+    fn edge_values() -> Vec<u64> {
+        let mut edges = vec![0, bucket_bound(HISTOGRAM_BUCKETS - 1) + 1, u64::MAX];
+        for i in 0..HISTOGRAM_BUCKETS {
+            edges.extend([bucket_bound(i), bucket_bound(i) + 1]);
+        }
+        edges
+    }
+
+    #[test]
+    fn table_search_picks_the_linear_search_bucket() {
+        for v in edge_values() {
+            let linear = (0..HISTOGRAM_BUCKETS).find(|&i| v <= bucket_bound(i));
+            assert_eq!(bucket_index(v), linear, "value {v}");
+        }
+    }
+
+    fn raw(h: &Histogram) -> (Vec<u64>, u64, u64, u64, u64) {
+        let inner = &h.inner;
+        (
+            inner.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect(),
+            inner.overflow.load(Ordering::Relaxed),
+            inner.sum.load(Ordering::Relaxed),
+            inner.count.load(Ordering::Relaxed),
+            inner.max.load(Ordering::Relaxed),
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(200))]
+        #[test]
+        fn merged_local_histogram_equals_direct_recording(
+            picks in proptest::collection::vec((0usize..256, 0u64..=u64::MAX), 0..120),
+            split in 0usize..120,
+        ) {
+            // Half the picks hit an edge value, the rest are uniform u64s.
+            let edges = edge_values();
+            let mut values: Vec<u64> = picks
+                .iter()
+                .map(|&(k, any)| edges.get(k % (2 * edges.len())).copied().unwrap_or(any))
+                .collect();
+            values.extend(&edges);
+            let reg = MetricsRegistry::new();
+            let direct = reg.histogram("direct");
+            let merged = reg.histogram("merged");
+            // Two tallies merged in turn, so merge also adds onto a
+            // non-empty histogram.
+            let (head, tail) = values.split_at(split.min(values.len()));
+            for part in [head, tail] {
+                let mut local = LocalHistogram::new();
+                for &v in part {
+                    direct.record(v);
+                    local.record(v);
+                }
+                proptest::prop_assert_eq!(local.count, part.len() as u64);
+                merged.merge(&local);
+            }
+            proptest::prop_assert_eq!(raw(&merged), raw(&direct));
+            proptest::prop_assert_eq!(merged.snapshot(), direct.snapshot());
+        }
+    }
+
+    #[test]
+    fn disabled_registry_ignores_merges() {
+        let reg = MetricsRegistry::new();
+        let h = reg.histogram("h");
+        let mut local = LocalHistogram::new();
+        local.record(7);
+        reg.set_enabled(false);
+        h.merge(&local);
+        assert_eq!(h.count(), 0);
+        reg.set_enabled(true);
+        h.merge(&local);
+        assert_eq!((h.count(), h.sum()), (1, 7));
     }
 
     #[test]

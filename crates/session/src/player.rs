@@ -12,6 +12,8 @@
 //! disabled) a fault-free session consumes exactly the same RNG stream as
 //! before this machinery existed.
 
+use std::sync::OnceLock;
+
 use crate::live::LiveWindow;
 use vmp_abr::algorithm::{AbrAlgorithm, AbrState};
 use vmp_abr::network::NetworkModel;
@@ -292,8 +294,8 @@ pub struct SessionOutcome {
     pub end_clock: Seconds,
 }
 
-/// Cached handles into the global metrics registry, resolved once per
-/// player so the per-chunk hot loop never takes the registry lock.
+/// Handles into the global metrics registry, resolved once per process
+/// (see [`SessionMetrics::get`]) so no session takes the registry lock.
 struct SessionMetrics {
     play_span: vmp_obs::SpanHandle,
     sessions: vmp_obs::Counter,
@@ -310,6 +312,12 @@ struct SessionMetrics {
 }
 
 impl SessionMetrics {
+    /// The process-wide handles, resolved on first use.
+    fn get() -> &'static SessionMetrics {
+        static METRICS: OnceLock<SessionMetrics> = OnceLock::new();
+        METRICS.get_or_init(SessionMetrics::new)
+    }
+
     fn new() -> SessionMetrics {
         SessionMetrics {
             play_span: vmp_obs::SpanHandle::new("session.play"),
@@ -353,7 +361,7 @@ pub struct Player<'a> {
     config: PlaybackConfig,
     network: NetworkModel,
     abr: &'a dyn AbrAlgorithm,
-    metrics: SessionMetrics,
+    metrics: &'static SessionMetrics,
 }
 
 impl std::fmt::Debug for Player<'_> {
@@ -373,7 +381,7 @@ impl<'a> Player<'a> {
         abr: &'a dyn AbrAlgorithm,
     ) -> Result<Player<'a>, String> {
         config.validate()?;
-        Ok(Player { config, network, abr, metrics: SessionMetrics::new() })
+        Ok(Player { config, network, abr, metrics: SessionMetrics::get() })
     }
 
     /// Plays a single-CDN session with ideal (always-hit) edges.
@@ -460,6 +468,9 @@ impl<'a> Player<'a> {
         let mut timeouts = 0u32;
         let mut failovers = 0u32;
         let mut exit = ExitCause::Completed;
+        // Per-chunk download times stay local and reach the shared
+        // histogram once, when the session ends.
+        let mut chunk_download_us = vmp_obs::LocalHistogram::new();
 
         // Manifest fetch: under faults the manifest itself can fail; retry
         // with backoff, then fail over, then give up fatally.
@@ -700,9 +711,8 @@ impl<'a> Player<'a> {
                 self.metrics.bitrate_switches.inc();
                 trace_emit(TraceEventKind::AbrSwitch, clock, cdn, bitrate.0, 0.0);
             }
-            self.metrics.chunks_fetched.inc();
             // Simulated (virtual-clock) download time, in microseconds.
-            self.metrics.chunk_download_us.record((download_time.0 * 1e6) as u64);
+            chunk_download_us.record((download_time.0 * 1e6) as u64);
             clock += download_time;
             trace_emit(TraceEventKind::ChunkFetch, clock, cdn, bitrate.0, download_time.0);
 
@@ -763,6 +773,9 @@ impl<'a> Player<'a> {
             chunk_index += 1;
         }
 
+        // `bitrates_used` holds one entry per fetched chunk.
+        self.metrics.chunks_fetched.add(bitrates_used.len() as u64);
+        self.metrics.chunk_download_us.merge(&chunk_download_us);
         self.metrics.startup_delay_us.record((startup_delay.0 * 1e6) as u64);
         let played = downloaded;
         let avg_bitrate = if played.0 > 0.0 {

@@ -133,7 +133,7 @@ pub fn generate_views(
         let start_clock = playback.start_offset;
         // `vod`/`live` configs always validate; skip the view rather than
         // panic if that invariant ever breaks.
-        let Ok(mut player) = Player::new(playback, network, abr.as_ref()) else {
+        let Ok(mut player) = Player::new(playback, network, abr) else {
             continue;
         };
         // Speculative wide-event trace: a no-op scope unless the run armed
@@ -361,17 +361,19 @@ fn sample_sdk_version(plane: &SnapshotPlane, rng: &mut Rng) -> SdkVersion {
     SdkVersion::new(effective, effective % 3)
 }
 
-fn abr_for_device(device: DeviceModel) -> Box<dyn AbrAlgorithm> {
+fn abr_for_device(device: DeviceModel) -> &'static dyn AbrAlgorithm {
+    // The algorithms are stateless (`choose(&self, ..)`), so every view of
+    // a device family shares one instance.
+    static APPLE: ThroughputRule = ThroughputRule { safety: 0.85 };
+    static STREAMING_STICK: Bba = Bba::DEFAULT;
+    static ANDROID: Bola = Bola::DEFAULT;
+    static OTHER: ThroughputRule = ThroughputRule::DEFAULT;
     // Different SDKs ship different adaptation logic (§2).
     match device {
-        DeviceModel::IPhone | DeviceModel::IPad | DeviceModel::AppleTv => {
-            Box::new(ThroughputRule { safety: 0.85 })
-        }
-        DeviceModel::Roku | DeviceModel::FireTv | DeviceModel::Chromecast => {
-            Box::new(Bba::default())
-        }
-        DeviceModel::AndroidPhone | DeviceModel::AndroidTablet => Box::new(Bola::default()),
-        _ => Box::new(ThroughputRule::default()),
+        DeviceModel::IPhone | DeviceModel::IPad | DeviceModel::AppleTv => &APPLE,
+        DeviceModel::Roku | DeviceModel::FireTv | DeviceModel::Chromecast => &STREAMING_STICK,
+        DeviceModel::AndroidPhone | DeviceModel::AndroidTablet => &ANDROID,
+        _ => &OTHER,
     }
 }
 
