@@ -90,14 +90,6 @@ fn bench_registry(c: &mut Criterion) {
     group.bench_function("counter_lookup_by_name", |b| {
         b.iter(|| black_box(reg.counter(black_box("bench.lookup"))))
     });
-
-    group.bench_function("event_record", |b| {
-        let mut i = 0u64;
-        b.iter(|| {
-            i += 1;
-            reg.record_event(vmp_obs::EventKind::Other, format!("e{i}"));
-        })
-    });
     group.finish();
 }
 

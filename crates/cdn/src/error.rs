@@ -50,21 +50,8 @@ pub enum FetchError {
 }
 
 impl FetchError {
-    /// Stable lowercase label used in metrics and event details.
-    pub fn label(&self) -> &'static str {
-        match self {
-            FetchError::RegionOutOfRange { .. } => "region_out_of_range",
-            FetchError::Outage { .. } => "outage",
-            FetchError::OriginUnavailable { .. } => "origin_unavailable",
-            FetchError::Timeout { .. } => "timeout",
-            FetchError::ManifestUnavailable { .. } => "manifest_unavailable",
-            FetchError::Shed { .. } => "shed",
-        }
-    }
-
     /// Compact error class for session-trace events (`code` field of a
-    /// `chunk_error` / `fatal` record); [`label`](Self::label) is the
-    /// human-readable form of the same enumeration.
+    /// `chunk_error` / `fatal` record).
     pub fn trace_code(&self) -> u32 {
         match self {
             FetchError::RegionOutOfRange { .. } => 0,
@@ -117,9 +104,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn labels_and_cdn_attribution() {
+    fn cdn_attribution_and_display() {
         let e = FetchError::Outage { cdn: CdnName::A };
-        assert_eq!(e.label(), "outage");
         assert_eq!(e.cdn(), Some(CdnName::A));
         let r = FetchError::RegionOutOfRange { region: 7, edges: 3 };
         assert_eq!(r.cdn(), None);

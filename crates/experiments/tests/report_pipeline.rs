@@ -78,16 +78,16 @@ fn report_is_schema_valid_and_stages_cover_wall_time() {
     assert_eq!(summary.get("scale").and_then(Value::as_str), Some("standalone"));
     let experiments = summary.get("experiments").and_then(Value::as_array).expect("experiments");
     assert_eq!(experiments.len(), 2);
-    let dropped = summary
+    let warnings = summary
         .get("diagnostics")
-        .and_then(|d| d.get("events_dropped"))
-        .and_then(Value::as_u64)
-        .expect("diagnostics.events_dropped");
+        .and_then(|d| d.get("warnings"))
+        .and_then(Value::as_array)
+        .expect("diagnostics.warnings");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(
-        dropped > 0,
-        stderr.contains("event ring dropped"),
-        "stderr drop warning must match diagnostics (dropped={dropped}): {stderr}"
+        !warnings.is_empty(),
+        stderr.lines().any(|l| l.starts_with("warning:")),
+        "stderr warnings must match diagnostics ({warnings:?}): {stderr}"
     );
 }
 

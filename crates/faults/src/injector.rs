@@ -2,12 +2,14 @@
 //!
 //! [`FaultInjector`] answers the same pure queries as the profile but
 //! counts every injected fault into `vmp-obs` (`faults.injected` plus a
-//! per-kind breakdown) and emits one `FaultStart`/`FaultStop` event per
-//! window transition, so a `--metrics` dump shows exactly which incidents a
-//! run replayed. Counting never touches the RNG, so observability does not
-//! perturb determinism.
+//! per-kind breakdown), so a `--metrics` dump shows exactly which incidents
+//! a run replayed. While tracing is on, construction also lays the
+//! profile's windows onto the Chrome trace's virtual timeline as
+//! `fault.start`/`fault.stop` instants — a pure function of the profile,
+//! so the injector holds no lock and no mutable state beyond its counters.
+//! Counting never touches the RNG, so observability does not perturb
+//! determinism.
 
-use parking_lot::Mutex;
 use vmp_core::cdn::CdnName;
 use vmp_core::units::Seconds;
 use vmp_stats::Rng;
@@ -17,8 +19,6 @@ use crate::profile::FaultProfile;
 /// A fault profile wired into the metrics registry.
 pub struct FaultInjector {
     profile: FaultProfile,
-    /// Per-window (start announced, stop announced) flags.
-    announced: Mutex<Vec<(bool, bool)>>,
     injected: vmp_obs::Counter,
     outages: vmp_obs::Counter,
     degraded: vmp_obs::Counter,
@@ -34,12 +34,21 @@ impl std::fmt::Debug for FaultInjector {
 }
 
 impl FaultInjector {
-    /// Wraps a profile.
+    /// Wraps a profile. While tracing is on, emits one `fault.start`
+    /// instant per window at its start and one `fault.stop` instant per
+    /// window with a nonzero duration at its end (virtual microseconds).
     pub fn new(profile: FaultProfile) -> FaultInjector {
-        let announced = Mutex::new(vec![(false, false); profile.windows().len()]);
+        if vmp_obs::tracing_enabled() {
+            for w in profile.windows() {
+                let detail = format!("{} on {}", w.kind.label(), cdn_label(w.cdn));
+                vmp_obs::trace_instant("fault.start", virtual_us(w.start), &detail);
+                if w.duration.0 > 0.0 {
+                    vmp_obs::trace_instant("fault.stop", virtual_us(w.end()), &detail);
+                }
+            }
+        }
         FaultInjector {
             profile,
-            announced,
             injected: vmp_obs::counter("faults.injected"),
             outages: vmp_obs::counter("faults.outage_hits"),
             degraded: vmp_obs::counter("faults.degraded_hits"),
@@ -54,31 +63,6 @@ impl FaultInjector {
         &self.profile
     }
 
-    /// Emits `FaultStart`/`FaultStop` events for windows whose boundaries
-    /// the fault clock has passed. Sessions observe the timeline out of
-    /// order (staggered start offsets), so each boundary announces once,
-    /// at the first query at-or-after it.
-    fn announce(&self, t: Seconds) {
-        let mut flags = self.announced.lock();
-        for (i, w) in self.profile.windows().iter().enumerate() {
-            let (started, stopped) = flags[i];
-            if !started && t.0 >= w.start.0 {
-                flags[i].0 = true;
-                vmp_obs::event(
-                    vmp_obs::EventKind::FaultStart,
-                    format!("{} on {} at t={:.0}s (for {:.0}s)", w.kind.label(), cdn_label(w.cdn), w.start.0, w.duration.0),
-                );
-            }
-            if !stopped && t.0 >= w.end().0 && w.duration.0 > 0.0 {
-                flags[i].1 = true;
-                vmp_obs::event(
-                    vmp_obs::EventKind::FaultStop,
-                    format!("{} on {} cleared at t={:.0}s", w.kind.label(), cdn_label(w.cdn), w.end().0),
-                );
-            }
-        }
-    }
-
     /// Whether a hard outage of `cdn` is active at `t`; counted when it is.
     pub fn outage(&self, cdn: CdnName, t: Seconds) -> bool {
         self.outage_in(cdn, None, t)
@@ -86,7 +70,6 @@ impl FaultInjector {
 
     /// Region-scoped variant of [`outage`](Self::outage).
     pub fn outage_in(&self, cdn: CdnName, region: Option<usize>, t: Seconds) -> bool {
-        self.announce(t);
         let hit = self.profile.outage_active_in(cdn, region, t);
         if hit {
             self.injected.inc();
@@ -133,7 +116,6 @@ impl FaultInjector {
 
     /// Whether a manifest fetch fails at `t`; counted when it does.
     pub fn manifest_failure(&self, cdn: CdnName, t: Seconds, rng: &mut Rng) -> bool {
-        self.announce(t);
         let hit = self.profile.manifest_failure(cdn, t, rng);
         if hit {
             self.injected.inc();
@@ -162,6 +144,11 @@ impl FaultInjector {
         }
         hit
     }
+}
+
+/// Fault-clock seconds as trace-timeline microseconds.
+fn virtual_us(t: Seconds) -> u64 {
+    (t.0 * 1e6) as u64
 }
 
 fn cdn_label(cdn: Option<CdnName>) -> String {

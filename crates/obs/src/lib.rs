@@ -15,9 +15,12 @@
 //!   loops that flush into a [`Histogram`] once with [`Histogram::merge`];
 //! - [`span`]: RAII stage timers recording latencies into histograms,
 //!   nesting tracked via a thread-local span stack;
-//! - [`EventSink`] + [`RingBufferSink`]: bounded recorder for structured
-//!   pipeline events (rebuffer start/stop, CDN switch, cache miss,
-//!   manifest parse errors);
+//! - [`session_trace`]: per-session wide-event traces with a typed
+//!   [`TraceEventKind`] vocabulary — where per-session occurrences
+//!   (rebuffer, CDN switch, fatal exit) are recorded;
+//! - [`trace`]: the Chrome `trace_event` timeline — span slices plus
+//!   virtual-clock counters and instants for process-level occurrences
+//!   (fault windows, circuit trips, alerts);
 //! - [`RegistrySnapshot`]: point-in-time export, JSON via `serde_json`
 //!   or Prometheus exposition text.
 //!
@@ -30,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
-mod events;
 mod export;
 mod metrics;
 pub mod profile;
@@ -39,7 +41,6 @@ pub mod session_trace;
 mod span;
 pub mod trace;
 
-pub use events::{Event, EventKind, EventSink, RingBufferSink};
 pub use export::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, RegistrySnapshot};
 pub use metrics::{Counter, Gauge, Histogram, LocalHistogram, MetricsRegistry};
 pub use profile::{
@@ -89,11 +90,6 @@ pub fn gauge(name: &str) -> Gauge {
 /// Convenience: a histogram handle from the global registry.
 pub fn histogram(name: &str) -> Histogram {
     global().histogram(name)
-}
-
-/// Convenience: records a structured event into the global registry's sink.
-pub fn event(kind: EventKind, detail: impl Into<String>) {
-    global().record_event(kind, detail);
 }
 
 /// Convenience: a point-in-time snapshot of the global registry.

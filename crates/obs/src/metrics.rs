@@ -6,7 +6,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::events::{Event, EventKind, RingBufferSink};
 use crate::export::{HistogramSnapshot, RegistrySnapshot};
 
 /// Number of histogram buckets: a 1-2-5 log series spanning 1 .. 5e11,
@@ -274,7 +273,7 @@ impl LocalHistogram {
     }
 }
 
-/// A registry of named metrics plus a bounded event sink.
+/// A registry of named metrics.
 ///
 /// Lookup (`counter`/`gauge`/`histogram`) takes a short mutex on the name
 /// table and hands back a clonable handle bound to the underlying atomic;
@@ -287,14 +286,12 @@ pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, Arc<AtomicI64>>>,
     histograms: Mutex<BTreeMap<String, Arc<HistogramInner>>>,
-    events: RingBufferSink,
 }
 
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetricsRegistry")
             .field("enabled", &self.enabled.load(Ordering::Relaxed))
-            .field("events", &self.events)
             .finish_non_exhaustive()
     }
 }
@@ -306,20 +303,13 @@ impl Default for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// An enabled registry with a 1024-event ring.
+    /// An empty, enabled registry.
     pub fn new() -> MetricsRegistry {
-        MetricsRegistry::with_event_capacity(1024)
-    }
-
-    /// An enabled registry whose event ring keeps the newest `capacity`
-    /// events.
-    pub fn with_event_capacity(capacity: usize) -> MetricsRegistry {
         MetricsRegistry {
             enabled: Arc::new(AtomicBool::new(true)),
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
-            events: RingBufferSink::new(capacity),
         }
     }
 
@@ -351,37 +341,21 @@ impl MetricsRegistry {
         Histogram { inner, enabled: self.enabled.clone() }
     }
 
-    /// Records a structured event into the bounded ring (dropped when the
-    /// registry is disabled).
-    pub fn record_event(&self, kind: EventKind, detail: impl Into<String>) {
-        if self.enabled.load(Ordering::Relaxed) {
-            self.events.push(kind, detail.into());
-        }
-    }
-
-    /// The newest retained events, oldest first.
-    pub fn events(&self) -> Vec<Event> {
-        self.events.drain_copy()
-    }
-
-    /// Number of events discarded because the ring was full.
-    pub fn events_dropped(&self) -> u64 {
-        self.events.dropped()
-    }
-
-    /// Point-in-time copy of every metric and the retained events.
+    /// Point-in-time copy of every metric.
     ///
-    /// The ring-buffer eviction count is surfaced as a synthetic
+    /// The process-wide Chrome-trace collector's drop count
+    /// ([`crate::trace_dropped`]) is surfaced as a synthetic
     /// `obs.events_dropped` counter so silent event loss is visible in both
     /// the JSON and Prometheus renderings, not just the dedicated field.
     pub fn snapshot(&self) -> RegistrySnapshot {
+        let events_dropped = crate::trace_dropped();
         let mut counters: BTreeMap<String, u64> = self
             .counters
             .lock()
             .iter()
             .map(|(name, v)| (name.clone(), v.load(Ordering::Relaxed)))
             .collect();
-        counters.insert("obs.events_dropped".to_string(), self.events.dropped());
+        counters.insert("obs.events_dropped".to_string(), events_dropped);
         let gauges = self
             .gauges
             .lock()
@@ -394,13 +368,7 @@ impl MetricsRegistry {
             .iter()
             .map(|(name, inner)| (name.clone(), inner.load_snapshot()))
             .collect();
-        RegistrySnapshot {
-            counters,
-            gauges,
-            histograms,
-            events: self.events.drain_copy(),
-            events_dropped: self.events.dropped(),
-        }
+        RegistrySnapshot { counters, gauges, histograms, events_dropped }
     }
 }
 
@@ -540,10 +508,8 @@ mod tests {
         reg.set_enabled(false);
         c.inc();
         h.record(42);
-        reg.record_event(EventKind::CacheMiss, "edge");
         assert_eq!(c.get(), 0);
         assert_eq!(h.count(), 0);
-        assert!(reg.events().is_empty());
         reg.set_enabled(true);
         c.inc();
         assert_eq!(c.get(), 1);

@@ -2,7 +2,7 @@
 //! snapshot round-trips.
 
 use proptest::prelude::*;
-use vmp_obs::{EventKind, MetricsRegistry, RegistrySnapshot};
+use vmp_obs::{MetricsRegistry, RegistrySnapshot};
 
 #[test]
 fn concurrent_counter_increments_sum_exactly() {
@@ -85,36 +85,16 @@ fn quantiles_are_within_bucket_resolution() {
 }
 
 #[test]
-fn ring_buffer_overflow_keeps_newest() {
-    let reg = MetricsRegistry::with_event_capacity(10);
-    for i in 0..25 {
-        reg.record_event(EventKind::CacheMiss, format!("event-{i}"));
-    }
-    let events = reg.events();
-    assert_eq!(events.len(), 10);
-    assert_eq!(reg.events_dropped(), 15);
-    assert_eq!(events.first().unwrap().detail, "event-15");
-    assert_eq!(events.last().unwrap().detail, "event-24");
-    // Sequence numbers stay monotone across the drop.
-    for pair in events.windows(2) {
-        assert_eq!(pair[1].seq, pair[0].seq + 1);
-    }
-}
-
-#[test]
 fn snapshot_json_has_all_sections() {
     let reg = MetricsRegistry::new();
     reg.counter("session.chunks").add(7);
     reg.gauge("session.buffer").set(-3);
     reg.histogram("cdn.fetch_ns").record(12_345);
-    reg.record_event(EventKind::CdnSwitch, "A -> B");
     let snap = reg.snapshot();
     let parsed: RegistrySnapshot = serde_json::from_str(&snap.to_json()).unwrap();
     assert_eq!(parsed.counters["session.chunks"], 7);
     assert_eq!(parsed.gauges["session.buffer"], -3);
     assert_eq!(parsed.histograms["cdn.fetch_ns"].count, 1);
-    assert_eq!(parsed.events.len(), 1);
-    assert_eq!(parsed.events[0].kind, EventKind::CdnSwitch);
 }
 
 proptest! {
@@ -126,7 +106,6 @@ proptest! {
         counters in proptest::collection::vec(("c[a-z]{1,8}\\.[a-z]{1,8}", 0u64..=1_000_000_000), 0..8),
         gauge_vals in proptest::collection::vec(("g[a-z]{1,8}", -500_000i64..=500_000), 0..5),
         samples in proptest::collection::vec(1u64..=5_000_000_000, 0..60),
-        details in proptest::collection::vec("\\PC{0,40}", 0..6),
     ) {
         let reg = MetricsRegistry::new();
         for (name, v) in &counters {
@@ -138,9 +117,6 @@ proptest! {
         let hist = reg.histogram("h.samples");
         for s in &samples {
             hist.record(*s);
-        }
-        for d in &details {
-            reg.record_event(EventKind::Other, d.clone());
         }
         let snap = reg.snapshot();
         let json = snap.to_json();

@@ -3,13 +3,13 @@
 //! The exporter must produce what a real scraper can ingest: one `# TYPE`
 //! line per metric family, histogram buckets as *cumulative* counts with
 //! increasing `le` bounds terminated by `+Inf`, matching `_sum`/`_count`
-//! series, and sanitized metric names. Plus the satellite guarantee: ring
-//! buffer event loss is visible as an `obs.events_dropped` counter in both
-//! the JSON and Prometheus renderings.
+//! series, and sanitized metric names. Plus the satellite guarantee: event
+//! loss in the bounded Chrome-trace collector is visible as an
+//! `obs.events_dropped` counter in both the JSON and Prometheus renderings.
 
 use std::collections::BTreeMap;
 
-use vmp_obs::{EventKind, MetricsRegistry};
+use vmp_obs::MetricsRegistry;
 
 /// Parses `name{labels} value` / `name value` sample lines.
 fn parse_samples(text: &str) -> Vec<(String, Option<String>, f64)> {
@@ -113,21 +113,25 @@ fn every_family_has_a_type_line_and_sanitized_name() {
 }
 
 #[test]
-fn ring_overflow_surfaces_as_events_dropped_counter() {
-    let reg = MetricsRegistry::with_event_capacity(4);
-    for i in 0..10 {
-        reg.record_event(EventKind::CacheMiss, format!("chunk-{i}"));
+fn trace_overflow_surfaces_as_events_dropped_counter() {
+    // Present (at zero) before anything is lost. No other test in this
+    // binary turns tracing on, so the collector is empty here.
+    let clean = MetricsRegistry::new().snapshot();
+    assert_eq!(clean.events_dropped, 0);
+    assert_eq!(clean.counters.get("obs.events_dropped"), Some(&0));
+
+    // Overfill the collector (200k retained events) by six.
+    vmp_obs::set_tracing(true);
+    for i in 0..200_006u64 {
+        vmp_obs::trace_instant("overfill", i, "");
     }
-    let snap = reg.snapshot();
+    vmp_obs::set_tracing(false);
+    let snap = MetricsRegistry::new().snapshot();
     assert_eq!(snap.events_dropped, 6);
-    // Satellite guarantee: the loss is a first-class counter in the JSON
-    // counters map and the Prometheus text, not just a side field.
+    // The loss is a first-class counter in the JSON counters map and the
+    // Prometheus text, not just a side field.
     assert_eq!(snap.counters.get("obs.events_dropped"), Some(&6));
     let text = snap.to_prometheus();
     assert!(text.contains("# TYPE obs_events_dropped counter"));
     assert!(text.contains("obs_events_dropped 6"));
-
-    // And it is present (at zero) even before anything is lost.
-    let clean = MetricsRegistry::new().snapshot();
-    assert_eq!(clean.counters.get("obs.events_dropped"), Some(&0));
 }
